@@ -388,11 +388,14 @@ func (v *Virtual) popDue(t time.Duration, advance bool) (func(), bool) {
 			}
 			return nil, false
 		}
+		// popVerified recycles best, and a concurrent AfterFunc may reuse
+		// it at once: read its deadline first.
+		at := best.at
 		fn, ok := v.popVerified(best, idx)
 		if !ok {
 			continue // head moved or was a dead entry; rescan
 		}
-		v.now.Store(int64(best.at))
+		v.now.Store(int64(at))
 		return fn, true
 	}
 }

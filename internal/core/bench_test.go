@@ -95,9 +95,10 @@ func BenchmarkForwardFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkRetransmit measures the stored-notification retransmission path
-// shared by anti-entropy repair and WS-PullGossip (batch of 16 envelopes).
-func BenchmarkRetransmit(b *testing.B) {
+// newRetransmitBench stores a batch of 16 notifications for the
+// retransmission path shared by anti-entropy repair and WS-PullGossip.
+func newRetransmitBench(b testing.TB) *forwardBench {
+	b.Helper()
 	fb := newForwardBench(b, 4, 1<<10)
 	for i := 0; i < 16; i++ {
 		env := soap.NewEnvelope()
@@ -114,6 +115,13 @@ func BenchmarkRetransmit(b *testing.B) {
 		}
 		fb.d.store.Put(gh.MessageID, env)
 	}
+	return fb
+}
+
+// BenchmarkRetransmit measures the stored-notification retransmission path
+// shared by anti-entropy repair and WS-PullGossip (batch of 16 envelopes).
+func BenchmarkRetransmit(b *testing.B) {
+	fb := newRetransmitBench(b)
 	have := map[string]struct{}{}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -82,25 +82,6 @@ type GossipHeader struct {
 	Protocol      string   `xml:"Protocol,omitempty"`
 }
 
-// SetGossipHeader writes gh into the envelope, replacing any existing gossip
-// header.
-func SetGossipHeader(env *soap.Envelope, gh GossipHeader) error {
-	env.RemoveHeader(Namespace, "Gossip")
-	return env.AddHeader(gh)
-}
-
-// GossipHeaderFrom extracts the gossip header, or ErrNoGossipHeader.
-func GossipHeaderFrom(env *soap.Envelope) (GossipHeader, error) {
-	var gh GossipHeader
-	if err := env.DecodeHeader(Namespace, "Gossip", &gh); err != nil {
-		if errors.Is(err, soap.ErrHeaderNotFound) {
-			return gh, ErrNoGossipHeader
-		}
-		return gh, err
-	}
-	return gh, nil
-}
-
 // GossipParameters is the registration-response extension through which the
 // Coordinator configures a participant: protocol parameters (the paper's f
 // and r) plus the peer targets for its gossip rounds.

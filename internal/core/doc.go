@@ -23,7 +23,10 @@
 // Key types beyond the roles:
 //
 //   - GossipHeader / GossipParameters / AggregateParameters — the SOAP
-//     extension blocks the protocols ride on.
+//     extension blocks the protocols ride on. The gossip header, read and
+//     re-written on every hop, has a typed codec (SetGossipHeader,
+//     GossipHeaderFrom) that falls back to encoding/xml for any
+//     non-canonical block.
 //   - Runner — the self-clocking round engine: every periodic protocol
 //     round (TickPull, TickRepair, TickAnnounce, aggregation exchanges,
 //     membership view exchanges, coordinator expiry pruning) fires from a

@@ -16,6 +16,7 @@ import (
 type allocBudget struct {
 	DecodeMaxAllocs float64 `json:"decode_1kib_max_allocs"`
 	EncodeMaxAllocs float64 `json:"encode_1kib_max_allocs"`
+	CloneMaxAllocs  float64 `json:"clone_1kib_max_allocs"`
 }
 
 func loadAllocBudget(t *testing.T, path string) allocBudget {
@@ -28,7 +29,7 @@ func loadAllocBudget(t *testing.T, path string) allocBudget {
 	if err := json.Unmarshal(raw, &b); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if b.DecodeMaxAllocs <= 0 || b.EncodeMaxAllocs <= 0 {
+	if b.DecodeMaxAllocs <= 0 || b.EncodeMaxAllocs <= 0 || b.CloneMaxAllocs <= 0 {
 		t.Fatalf("alloc budget missing fields: %+v", b)
 	}
 	return b
@@ -115,4 +116,34 @@ func TestDecodeAllocBudgetInstrumented(t *testing.T) {
 	}
 	t.Logf("decode bare %.1f vs instrumented %.1f allocs/op; encode instrumented %.1f",
 		bare, instrumented, encodeAllocs)
+}
+
+// TestCloneAllocBudget pins the compact Clone: one backing array for every
+// Raw, one block list, one envelope+header allocation. Clone is the
+// disseminator store's retention point, paid once per unique notification
+// per node and held for the store's lifetime.
+func TestCloneAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	budget := loadAllocBudget(t, "testdata/alloc_budget.json")
+	data, err := benchEnvelope(t, 1<<10).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Addressing() // a delivered envelope carries the cache; the clone must not copy it
+	var sink *Envelope
+	allocs := testing.AllocsPerRun(200, func() { sink = env.Clone() })
+	if len(sink.Body.Blocks) != 1 {
+		t.Fatalf("clone lost the body: %+v", sink.Body)
+	}
+	if allocs > budget.CloneMaxAllocs {
+		t.Errorf("Clone(1KiB) = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			allocs, budget.CloneMaxAllocs)
+	}
+	t.Logf("clone %.1f allocs/op (budget %.0f)", allocs, budget.CloneMaxAllocs)
 }

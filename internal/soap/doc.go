@@ -20,8 +20,13 @@
 // buffer, Encode splices them into one exactly-sized allocation, and
 // EncodeTemplate/RenderTo serialize a fan-out message once, patching only
 // the wsa:To header per target (soap.Fanout is the shared fan-out ladder).
-// Non-canonical documents transparently fall back to encoding/xml. See
-// DESIGN.md, "The wire path" and "The wire scanner".
+// Non-canonical documents transparently fall back to encoding/xml. The
+// per-hop header blocks skip encoding/xml as well: SetAddressing renders the
+// WS-Addressing text headers with a typed encoder that writes exactly
+// xml.Marshal's bytes, and PlainText tells other packages' typed encoders
+// (the gossip header in internal/core) which values they may copy verbatim;
+// anything needing escaping falls back to xml.Marshal. See DESIGN.md, "The
+// wire path", "The wire scanner" and "Typed header codecs".
 //
 // # Envelope ownership
 //
@@ -32,4 +37,12 @@
 // must Clone it. Envelope.Snapshot shares the captured bytes and is NOT
 // sufficient for retention; it exists for fan-out paths that re-head an
 // envelope within a delivery.
+//
+// A Clone is compact because stores hold many of them: every Block.Raw is a
+// capacity-clipped sub-slice of one exactly-sized backing array (an append
+// to one block reallocates rather than overwrite the next), the header and
+// body lists are clipped windows onto one []Block, the envelope and its
+// Header share one allocation, and the addressing cache is not copied
+// (Addressing recomputes it on first use). Snapshot and Decode build their
+// block lists the same way, so growing a header list never touches the body.
 package soap

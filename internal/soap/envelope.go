@@ -143,12 +143,19 @@ func (e *Envelope) AddHeader(v any) error {
 	if err != nil {
 		return err
 	}
+	e.AddHeaderBlock(b)
+	return nil
+}
+
+// AddHeaderBlock appends a pre-rendered header block. b.Raw must be one
+// complete element named b.XMLName that declares its own default namespace;
+// the typed header encoders build such blocks without encoding/xml.
+func (e *Envelope) AddHeaderBlock(b Block) {
 	if e.Header == nil {
 		e.Header = &Header{}
 	}
 	e.Header.Blocks = append(e.Header.Blocks, b)
 	e.addr.Store(nil)
-	return nil
 }
 
 // HeaderBlock returns the first header block with the given name.
@@ -176,13 +183,19 @@ func (e *Envelope) DecodeHeader(space, local string, v any) error {
 // RemoveHeader deletes all header blocks with the given name and reports
 // whether any were removed.
 func (e *Envelope) RemoveHeader(space, local string) bool {
+	return e.removeHeaders(space, func(l string) bool { return l == local })
+}
+
+// removeHeaders deletes, in one pass, every header block in space (any
+// namespace when space is "") whose local name matches.
+func (e *Envelope) removeHeaders(space string, match func(local string) bool) bool {
 	if e.Header == nil {
 		return false
 	}
 	kept := e.Header.Blocks[:0]
 	removed := false
 	for _, b := range e.Header.Blocks {
-		if b.XMLName.Local == local && (space == "" || b.XMLName.Space == space) {
+		if match(b.XMLName.Local) && (space == "" || b.XMLName.Space == space) {
 			removed = true
 			continue
 		}
@@ -285,13 +298,26 @@ var wirePrefixDecl = []byte("xmlns:")
 // Fan-out paths use the cheaper Snapshot; Clone is for retention — an
 // envelope that must outlive its delivery (and the transport's pooled
 // receive buffer backing it) — and for callers that mutate Raw in place.
+//
+// A clone is compact, because stores hold many of them: every block's Raw
+// is a sub-slice of one exactly-sized backing array, capacity-clipped so an
+// append to one block reallocates instead of overwriting the next; the
+// header and body lists share one []Block, also clipped; the envelope and
+// its Header are one allocation. The addressing cache is not carried over
+// (Addressing recomputes it on first use), so the clone retains nothing but
+// the blocks.
 func (e *Envelope) Clone() *Envelope {
-	out := &Envelope{XMLName: e.XMLName}
-	if e.Header != nil {
-		out.Header = &Header{XMLName: e.Header.XMLName, Blocks: cloneBlocks(e.Header.Blocks)}
+	out, blocks := e.copyLists()
+	size := 0
+	for _, b := range blocks {
+		size += len(b.Raw)
 	}
-	out.Body = Body{XMLName: e.Body.XMLName, Blocks: cloneBlocks(e.Body.Blocks)}
-	out.addr.Store(e.addr.Load())
+	backing := make([]byte, 0, size)
+	for i := range blocks {
+		start := len(backing)
+		backing = append(backing, blocks[i].Raw...)
+		blocks[i].Raw = backing[start:len(backing):len(backing)]
+	}
 	return out
 }
 
@@ -302,49 +328,64 @@ func (e *Envelope) Clone() *Envelope {
 // immutable, so the fan-out and store paths snapshot instead of
 // deep-copying per target.
 func (e *Envelope) Snapshot() *Envelope {
-	out := &Envelope{XMLName: e.XMLName}
-	if e.Header != nil {
-		out.Header = &Header{
-			XMLName: e.Header.XMLName,
-			Blocks:  append([]Block(nil), e.Header.Blocks...),
-		}
-	}
-	out.Body = Body{
-		XMLName: e.Body.XMLName,
-		Blocks:  append([]Block(nil), e.Body.Blocks...),
-	}
+	out, _ := e.copyLists()
 	out.addr.Store(e.addr.Load())
 	return out
 }
 
-func cloneBlocks(in []Block) []Block {
-	out := make([]Block, len(in))
-	for i, b := range in {
-		raw := make([]byte, len(b.Raw))
-		copy(raw, b.Raw)
-		out[i] = Block{XMLName: b.XMLName, Raw: raw}
+// copyLists returns a copy of e, without the addressing cache, whose header
+// and body lists are capacity-clipped windows onto one fresh block array
+// (also returned); Raw bytes are shared with e. The envelope and its Header
+// are one allocation.
+func (e *Envelope) copyLists() (*Envelope, []Block) {
+	var header []Block
+	if e.Header != nil {
+		header = e.Header.Blocks
 	}
-	return out
+	nh := len(header)
+	blocks := make([]Block, nh+len(e.Body.Blocks))
+	copy(blocks, header)
+	copy(blocks[nh:], e.Body.Blocks)
+	var out *Envelope
+	if e.Header != nil {
+		var h *Header
+		out, h = newEnvelopePair()
+		*h = Header{XMLName: e.Header.XMLName, Blocks: window(blocks, 0, nh)}
+		out.Header = h
+	} else {
+		out = &Envelope{}
+	}
+	out.XMLName = e.XMLName
+	out.Body = Body{XMLName: e.Body.XMLName, Blocks: window(blocks, nh, len(blocks))}
+	return out, blocks
+}
+
+// window returns blocks[i:j] with its capacity clipped, or nil when empty.
+func window(blocks []Block, i, j int) []Block {
+	if i == j {
+		return nil
+	}
+	return blocks[i:j:j]
+}
+
+// newEnvelopePair returns an empty envelope and a Header in one allocation;
+// the caller links them (env.Header = h) if the envelope has a header.
+func newEnvelopePair() (*Envelope, *Header) {
+	pair := &struct {
+		env Envelope
+		hdr Header
+	}{}
+	return &pair.env, &pair.hdr
 }
 
 // Addressing-header element shapes. WS-Addressing properties are individual
-// top-level header blocks.
+// top-level header blocks: four carry only text, two an endpoint reference.
 type (
-	toHeader struct {
-		XMLName xml.Name `xml:"http://www.w3.org/2005/08/addressing To"`
-		Value   string   `xml:",chardata"`
-	}
-	actionHeader struct {
-		XMLName xml.Name `xml:"http://www.w3.org/2005/08/addressing Action"`
-		Value   string   `xml:",chardata"`
-	}
-	messageIDHeader struct {
-		XMLName xml.Name `xml:"http://www.w3.org/2005/08/addressing MessageID"`
-		Value   string   `xml:",chardata"`
-	}
-	relatesToHeader struct {
-		XMLName xml.Name `xml:"http://www.w3.org/2005/08/addressing RelatesTo"`
-		Value   string   `xml:",chardata"`
+	// textHeader is the encoding/xml shape of the text properties (To,
+	// Action, MessageID, RelatesTo); the element name rides in XMLName.
+	textHeader struct {
+		XMLName xml.Name
+		Value   string `xml:",chardata"`
 	}
 	replyToHeader struct {
 		XMLName xml.Name `xml:"http://www.w3.org/2005/08/addressing ReplyTo"`
@@ -356,29 +397,37 @@ type (
 	}
 )
 
+// isAddressingLocal reports whether local names a WS-Addressing property
+// SetAddressing owns.
+func isAddressingLocal(local string) bool {
+	switch local {
+	case "To", "Action", "MessageID", "RelatesTo", "ReplyTo", "From":
+		return true
+	}
+	return false
+}
+
 // SetAddressing writes the WS-Addressing properties into the header,
-// replacing any existing addressing blocks.
+// replacing any existing addressing blocks. The text properties go through
+// the typed encoder (textBlock); values it declines, and the endpoint
+// references, are marshalled by encoding/xml. Both produce the same bytes.
 func (e *Envelope) SetAddressing(h wsa.Headers) error {
-	for _, local := range []string{"To", "Action", "MessageID", "RelatesTo", "ReplyTo", "From"} {
-		e.RemoveHeader(wsa.Namespace, local)
-	}
-	if h.To != "" {
-		if err := e.AddHeader(toHeader{Value: h.To}); err != nil {
-			return err
+	e.removeHeaders(wsa.Namespace, isAddressingLocal)
+	for _, p := range [...]struct{ local, value string }{
+		{"To", h.To},
+		{"Action", h.Action},
+		{"MessageID", string(h.MessageID)},
+		{"RelatesTo", string(h.RelatesTo)},
+	} {
+		if p.value == "" {
+			continue
 		}
-	}
-	if h.Action != "" {
-		if err := e.AddHeader(actionHeader{Value: h.Action}); err != nil {
-			return err
+		if b, ok := textBlock(wsa.Namespace, p.local, p.value); ok {
+			e.AddHeaderBlock(b)
+			continue
 		}
-	}
-	if h.MessageID != "" {
-		if err := e.AddHeader(messageIDHeader{Value: string(h.MessageID)}); err != nil {
-			return err
-		}
-	}
-	if h.RelatesTo != "" {
-		if err := e.AddHeader(relatesToHeader{Value: string(h.RelatesTo)}); err != nil {
+		v := textHeader{XMLName: xml.Name{Space: wsa.Namespace, Local: p.local}, Value: p.value}
+		if err := e.AddHeader(v); err != nil {
 			return err
 		}
 	}
@@ -393,6 +442,63 @@ func (e *Envelope) SetAddressing(h wsa.Headers) error {
 		}
 	}
 	return nil
+}
+
+// textBlock renders <local xmlns="space">value</local> byte-identically to
+// xml.Marshal of a textHeader with that name, which is what it replaces on
+// the per-hop path. ok is false when space or value would need escaping
+// (see PlainText); the caller then marshals through encoding/xml.
+func textBlock(space, local, value string) (Block, bool) {
+	if space == "" || !PlainText(space) || !PlainText(value) {
+		return Block{}, false
+	}
+	raw := make([]byte, 0, len(`< xmlns=""></>`)+2*len(local)+len(space)+len(value))
+	raw = append(raw, '<')
+	raw = append(raw, local...)
+	raw = append(raw, ` xmlns="`...)
+	raw = append(raw, space...)
+	raw = append(raw, `">`...)
+	raw = append(raw, value...)
+	raw = append(raw, "</"...)
+	raw = append(raw, local...)
+	raw = append(raw, '>')
+	return Block{XMLName: xml.Name{Space: space, Local: local}, Raw: raw}, true
+}
+
+// PlainText reports whether encoding/xml writes s verbatim, as character
+// data or as an attribute value: s is valid UTF-8 inside the XML character
+// range and holds no byte that xml.EscapeText rewrites (the five markup
+// characters, tab, newline, carriage return, other control characters).
+// The typed header encoders copy plain strings straight into Raw and hand
+// every other value to encoding/xml.
+func PlainText(s string) bool {
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c < 0x20 || c == '"' || c == '&' || c == '\'' || c == '<' || c == '>' {
+				return false
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 || !xmlCharOK(r) {
+			return false
+		}
+		i += size
+	}
+	return true
+}
+
+// CachedAddressing returns the addressing properties if an earlier
+// Addressing call cached them, without parsing anything. Readers that can
+// reuse a cached string (the gossip header's MessageID) use it to avoid a
+// second copy; they must not rely on the cache being present.
+func (e *Envelope) CachedAddressing() (wsa.Headers, bool) {
+	if h := e.addr.Load(); h != nil {
+		return *h, true
+	}
+	return wsa.Headers{}, false
 }
 
 // Addressing extracts the WS-Addressing properties from the header. Missing
@@ -430,76 +536,45 @@ func (e *Envelope) computeAddressing() wsa.Headers {
 		if b.XMLName.Space != wsa.Namespace {
 			continue
 		}
-		// First block of each name wins, like the HeaderBlock lookup the
-		// per-property decode used to run.
+		var bit uint8
 		switch b.XMLName.Local {
 		case "To":
-			if seen&fTo != 0 {
-				continue
-			}
-			seen |= fTo
-			if v, ok := headerText(b.Raw); ok {
-				h.To = v
-			} else {
-				var t toHeader
-				if b.Decode(&t) == nil {
-					h.To = t.Value
-				}
-			}
+			bit = fTo
 		case "Action":
-			if seen&fAction != 0 {
-				continue
-			}
-			seen |= fAction
-			if v, ok := headerText(b.Raw); ok {
-				h.Action = v
-			} else {
-				var a actionHeader
-				if b.Decode(&a) == nil {
-					h.Action = a.Value
-				}
-			}
+			bit = fAction
 		case "MessageID":
-			if seen&fMessageID != 0 {
-				continue
-			}
-			seen |= fMessageID
-			if v, ok := headerText(b.Raw); ok {
-				h.MessageID = wsa.MessageID(v)
-			} else {
-				var m messageIDHeader
-				if b.Decode(&m) == nil {
-					h.MessageID = wsa.MessageID(m.Value)
-				}
-			}
+			bit = fMessageID
 		case "RelatesTo":
-			if seen&fRelatesTo != 0 {
-				continue
-			}
-			seen |= fRelatesTo
-			if v, ok := headerText(b.Raw); ok {
-				h.RelatesTo = wsa.MessageID(v)
-			} else {
-				var r relatesToHeader
-				if b.Decode(&r) == nil {
-					h.RelatesTo = wsa.MessageID(r.Value)
-				}
-			}
+			bit = fRelatesTo
 		case "ReplyTo":
-			if seen&fReplyTo != 0 {
-				continue
-			}
-			seen |= fReplyTo
+			bit = fReplyTo
+		case "From":
+			bit = fFrom
+		default:
+			continue
+		}
+		// First block of each name wins, like the HeaderBlock lookup the
+		// per-property decode used to run.
+		if seen&bit != 0 {
+			continue
+		}
+		seen |= bit
+		switch bit {
+		case fTo:
+			h.To = blockText(b)
+		case fAction:
+			h.Action = blockText(b)
+		case fMessageID:
+			h.MessageID = wsa.MessageID(blockText(b))
+		case fRelatesTo:
+			h.RelatesTo = wsa.MessageID(blockText(b))
+		case fReplyTo:
 			var r replyToHeader
 			if b.Decode(&r) == nil {
 				epr := wsa.NewEPR(r.Address)
 				h.ReplyTo = &epr
 			}
-		case "From":
-			if seen&fFrom != 0 {
-				continue
-			}
-			seen |= fFrom
+		case fFrom:
 			var f fromHeader
 			if b.Decode(&f) == nil {
 				epr := wsa.NewEPR(f.Address)
@@ -508,6 +583,20 @@ func (e *Envelope) computeAddressing() wsa.Headers {
 		}
 	}
 	return h
+}
+
+// blockText returns a text property's value: straight from the captured
+// bytes when headerText can, else through encoding/xml ("" if the block
+// does not decode).
+func blockText(b Block) string {
+	if v, ok := headerText(b.Raw); ok {
+		return v
+	}
+	var t textHeader
+	if b.Decode(&t) == nil {
+		return t.Value
+	}
+	return ""
 }
 
 // headerText extracts the character content of a simple captured element —

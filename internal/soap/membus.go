@@ -11,27 +11,80 @@ import (
 // wire behaviour (header pass-through, faults) matches the HTTP binding
 // while allowing hundreds of nodes in one process.
 //
-// Request-response exchanges (Call) are synchronous. One-way exchanges
-// (Send) are queued FIFO and drained iteratively: a Send issued from inside
-// a handler is delivered after the current wave, giving the same
+// Request-response exchanges (Call) are synchronous. A one-way exchange
+// (Send) issued outside any delivery starts a cascade: the message and every
+// one-way send its handlers issue with the delivery's context are queued
+// FIFO and drained iteratively on the sender's goroutine, so a Send from
+// inside a handler is delivered after the current wave, giving the same
 // breadth-first message ordering as an asynchronous network. Without this,
 // hop-bounded dissemination would burn its hop budget down one depth-first
 // chain — an artifact no real deployment exhibits. The top-level Send
-// drains the whole cascade before returning, so tests and examples observe
-// a completed dissemination.
+// drains its whole cascade before returning, so tests and examples observe
+// a completed dissemination. Concurrent top-level senders (timer-driven
+// protocol rounds, several publishers) each drain their own cascade: one
+// sender never inherits another's traffic, and a sender that keeps sending
+// is slowed by its own deliveries.
 type MemBus struct {
 	mu        sync.RWMutex
 	endpoints map[string]Handler
-
-	qmu      sync.Mutex
-	queue    []pendingSend
-	head     int // next undelivered entry; the drain resets both when empty
-	draining bool
 }
 
 type pendingSend struct {
 	to   string
 	data []byte
+}
+
+// cascade is the delivery wave of one top-level one-way send. It is also
+// the context its deliveries run under, which is how a handler's own sends
+// find it (cascadeKey).
+type cascade struct {
+	context.Context
+	bus *MemBus
+
+	mu    sync.Mutex
+	queue []pendingSend
+	first [1]pendingSend // backs queue for the common one-delivery wave
+	head  int
+	done  bool // drained; late sends start a cascade of their own
+}
+
+// cascadeKey looks up the cascade a context belongs to on one bus.
+type cascadeKey struct{ bus *MemBus }
+
+// Value answers cascadeKey lookups for this cascade's bus and defers every
+// other key to the sender's context.
+func (c *cascade) Value(key any) any {
+	if k, ok := key.(cascadeKey); ok && k.bus == c.bus {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
+// enqueue appends a send to the wave unless the wave has been drained.
+func (c *cascade) enqueue(p pendingSend) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done {
+		return false
+	}
+	c.queue = append(c.queue, p)
+	return true
+}
+
+// next pops the oldest queued send; once the queue is empty the wave is
+// done and accepts no more.
+func (c *cascade) next() (pendingSend, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.head == len(c.queue) {
+		c.done = true
+		c.queue = nil
+		return pendingSend{}, false
+	}
+	p := c.queue[c.head]
+	c.queue[c.head] = pendingSend{}
+	c.head++
+	return p, true
 }
 
 var (
@@ -117,9 +170,9 @@ func (b *MemBus) Call(ctx context.Context, to string, env *Envelope) (*Envelope,
 }
 
 // Send performs a one-way exchange, discarding any response envelope. The
-// destination is validated immediately; delivery is FIFO-ordered behind any
-// in-flight wave (see the type comment). Handler errors at the receiver are
-// not reported back — one-way semantics, as over HTTP 202.
+// destination is validated immediately; delivery is FIFO-ordered behind the
+// sender's in-flight wave (see the type comment). Handler errors at the
+// receiver are not reported back — one-way semantics, as over HTTP 202.
 func (b *MemBus) Send(ctx context.Context, to string, env *Envelope) error {
 	data, err := env.Encode()
 	if err != nil {
@@ -138,29 +191,22 @@ func (b *MemBus) SendEncoded(ctx context.Context, to string, data []byte) error 
 	if _, err := b.lookup(to); err != nil {
 		return AsFault(err) // ownership stays with the caller on error
 	}
-	b.qmu.Lock()
-	b.queue = append(b.queue, pendingSend{to: to, data: data})
-	if b.draining {
-		b.qmu.Unlock()
+	p := pendingSend{to: to, data: data}
+	if c, ok := ctx.Value(cascadeKey{b}).(*cascade); ok && c.enqueue(p) {
 		return nil
 	}
-	b.draining = true
-	for b.head < len(b.queue) {
-		p := b.queue[b.head]
-		b.queue[b.head] = pendingSend{}
-		b.head++
-		b.qmu.Unlock()
+	c := &cascade{Context: ctx, bus: b}
+	c.queue = append(c.first[:0], p)
+	for {
+		p, ok := c.next()
+		if !ok {
+			return nil
+		}
 		// Endpoints may unregister (crash injection) between enqueue and
 		// delivery; drop silently like a network would.
-		_, _ = b.deliverBytes(ctx, p.to, p.data)
+		_, _ = b.deliverBytes(c, p.to, p.data)
 		// The wave delivered (or dropped) this buffer exactly once and the
 		// handler has returned; recycle it.
 		putBytes(p.data)
-		b.qmu.Lock()
 	}
-	b.queue = b.queue[:0]
-	b.head = 0
-	b.draining = false
-	b.qmu.Unlock()
-	return nil
 }

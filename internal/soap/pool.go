@@ -45,7 +45,10 @@ func getBytes(n int) []byte {
 		return (*(v.(*[]byte)))[:0]
 	}
 	countPoolGet(false)
-	return make([]byte, 0, n)
+	// Allocate the whole class: putBytes files a buffer under the largest
+	// class its capacity covers, so an exactly-sized buffer would land one
+	// class below the one this request size draws from and never come back.
+	return make([]byte, 0, 1<<c)
 }
 
 // putBytes recycles a buffer. Callers must hold the only live reference;

@@ -2,6 +2,7 @@ package soap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/xml"
 	"unicode/utf8"
 
@@ -83,7 +84,8 @@ func decodeScan(data []byte) (*Envelope, bool) {
 		!root.hasXMLNS || !bytes.Equal(s.slice(root.nsStart, root.nsEnd), envelopeNS) {
 		return nil, false
 	}
-	env := &Envelope{XMLName: soapEnvelopeName}
+	env, header := newEnvelopePair()
+	env.XMLName = soapEnvelopeName
 	if root.selfClose {
 		return env, true
 	}
@@ -126,7 +128,8 @@ func decodeScan(data []byte) (*Envelope, bool) {
 			switch {
 			case soapScope && bytes.Equal(name, headerLocal):
 				if env.Header == nil {
-					env.Header = &Header{XMLName: soapHeaderName}
+					header.XMLName = soapHeaderName
+					env.Header = header
 				}
 				if !tag.selfClose && !s.container(headerLocal, &env.Header.Blocks) {
 					return nil, false
@@ -150,11 +153,25 @@ func decodeScan(data []byte) (*Envelope, bool) {
 type wireScanner struct {
 	data []byte
 	pos  int
+	// blocks holds every captured block in document order; the Header and
+	// Body lists are capacity-clipped windows onto it, so a typical
+	// envelope allocates one block array for both.
+	blocks []Block
 }
 
 func (s *wireScanner) slice(i, j int) []byte   { return s.data[i:j] }
 func (s *wireScanner) name(t startTag) []byte  { return s.data[t.nameStart:t.nameEnd] }
 func (s *wireScanner) lookingAt(p []byte) bool { return bytes.HasPrefix(s.data[s.pos:], p) }
+
+// after returns the byte following the '<' at pos, which tells an end tag,
+// comment/CDATA/directive and PI apart from a start tag, or 0 at EOF (which
+// startTag then rejects).
+func (s *wireScanner) after() byte {
+	if s.pos+1 < len(s.data) {
+		return s.data[s.pos+1]
+	}
+	return 0
+}
 
 func (s *wireScanner) ws() {
 	for s.pos < len(s.data) && isXMLSpace(s.data[s.pos]) {
@@ -193,25 +210,37 @@ func (s *wireScanner) prolog() bool {
 // was just consumed, through the matching end tag. Each captured block is a
 // verbatim slice spanning the child's start tag through its end tag.
 func (s *wireScanner) container(local []byte, out *[]Block) bool {
+	first := len(s.blocks)
 	for {
 		s.ws()
 		if s.pos >= len(s.data) || s.data[s.pos] != '<' {
 			return false
 		}
-		switch {
-		case s.lookingAt(commentOpen):
-			if !s.comment() {
+		switch s.after() {
+		case '!':
+			if !s.lookingAt(commentOpen) || !s.comment() {
 				return false
 			}
-		case s.lookingAt(piOpen):
+		case '?':
 			if !s.pi(false) {
 				return false
 			}
-		case s.pos+1 < len(s.data) && s.data[s.pos+1] == '/':
+		case '/':
 			name, ok := s.endTag()
-			return ok && bytes.Equal(name, local)
-		case s.pos+1 < len(s.data) && s.data[s.pos+1] == '!':
-			return false
+			if !ok || !bytes.Equal(name, local) {
+				return false
+			}
+			// Hand the container its blocks as a capacity-clipped window:
+			// an append to it copies instead of running into the next
+			// container's blocks.
+			if n := len(s.blocks); n > first {
+				if *out == nil {
+					*out = s.blocks[first:n:n]
+				} else {
+					*out = append(*out, s.blocks[first:n]...)
+				}
+			}
+			return true
 		default:
 			start := s.pos
 			tag, ok := s.startTag()
@@ -231,10 +260,10 @@ func (s *wireScanner) container(local []byte, out *[]Block) bool {
 			if !ok {
 				return false
 			}
-			if *out == nil {
-				*out = make([]Block, 0, 8)
+			if s.blocks == nil {
+				s.blocks = make([]Block, 0, 8)
 			}
-			*out = append(*out, Block{
+			s.blocks = append(s.blocks, Block{
 				XMLName: xml.Name{Space: space, Local: internLocal(s.name(tag))},
 				Raw:     s.data[start:s.pos],
 			})
@@ -252,27 +281,30 @@ func (s *wireScanner) subtree(root []byte) bool {
 		if !s.text() {
 			return false
 		}
-		switch {
-		case s.lookingAt(commentOpen):
-			if !s.comment() {
+		switch s.after() {
+		case '!':
+			switch {
+			case s.lookingAt(commentOpen):
+				if !s.comment() {
+					return false
+				}
+			case s.lookingAt(cdataOpen):
+				if !s.cdata() {
+					return false
+				}
+			default:
 				return false
 			}
-		case s.lookingAt(cdataOpen):
-			if !s.cdata() {
-				return false
-			}
-		case s.lookingAt(piOpen):
+		case '?':
 			if !s.pi(false) {
 				return false
 			}
-		case s.pos+1 < len(s.data) && s.data[s.pos+1] == '/':
+		case '/':
 			name, ok := s.endTag()
 			if !ok || !bytes.Equal(name, stack[len(stack)-1]) {
 				return false
 			}
 			stack = stack[:len(stack)-1]
-		case s.pos+1 < len(s.data) && s.data[s.pos+1] == '!':
-			return false
 		default:
 			tag, ok := s.startTag()
 			if !ok {
@@ -291,46 +323,69 @@ func (s *wireScanner) subtree(root []byte) bool {
 
 // text consumes character data up to the next '<', validating characters
 // and entity references exactly as strictly as encoding/xml does —
-// including the ban on a literal "]]>" outside a CDATA section.
+// including the ban on a literal "]]>" outside a CDATA section. The fast
+// path is a single pass over the ASCII characters that need no further
+// thought, eight bytes per step (plainTextWord) and then one table lookup
+// per byte; only '<', '&', ']', control and non-ASCII bytes leave it.
 func (s *wireScanner) text() bool {
 	data := s.data
 	i := s.pos
-	for i < len(data) {
-		c := data[i]
-		if c == '<' {
+	for {
+		for i+8 <= len(data) && plainTextWord(binary.LittleEndian.Uint64(data[i:])) {
+			i += 8
+		}
+		for i < len(data) && plainTextByte[data[i]] {
+			i++
+		}
+		if i >= len(data) {
+			return false // EOF inside an element
+		}
+		switch c := data[i]; {
+		case c == '<':
 			s.pos = i
 			return true
-		}
-		if c == '&' {
+		case c == '&':
 			n, _ := entityLen(data[i:])
 			if n < 0 {
 				return false
 			}
 			i += n
-			continue
-		}
-		if c == ']' && i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>' {
-			return false
-		}
-		if c >= 0x20 && c < 0x80 {
+		case c == ']':
+			if i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>' {
+				return false
+			}
 			i++
-			continue
+		case c < 0x80:
+			return false // control character outside tab, LF, CR
+		default:
+			r, size := utf8.DecodeRune(data[i:])
+			if (r == utf8.RuneError && size == 1) || r == 0xFFFE || r == 0xFFFF {
+				return false
+			}
+			i += size
 		}
-		if c == '\t' || c == '\n' || c == '\r' {
-			i++
-			continue
-		}
-		if c < 0x20 {
-			return false
-		}
-		r, size := utf8.DecodeRune(data[i:])
-		if (r == utf8.RuneError && size == 1) || r == 0xFFFE || r == 0xFFFF {
-			return false
-		}
-		i += size
 	}
-	return false // EOF inside an element
 }
+
+// plainTextWord reports whether none of w's eight bytes needs a second look:
+// each is printable ASCII (0x20-0x7F) other than '<', '&' and ']'. Tab, LF
+// and CR drop to the byte loop. The zero-byte tests are the classic
+// exact-for-existence bit tricks.
+func plainTextWord(w uint64) bool {
+	const lo, hi = 0x0101010101010101, 0x8080808080808080
+	lt, amp, br := w^(lo*'<'), w^(lo*'&'), w^(lo*']')
+	return (w|(w-lo*0x20)|(lt-lo)&^lt|(amp-lo)&^amp|(br-lo)&^br)&hi == 0
+}
+
+// plainTextByte marks the bytes text accepts without a second look: ASCII
+// XML characters other than '<', '&' and ']'.
+var plainTextByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x80; c++ {
+		t[c] = c != '<' && c != '&' && c != ']'
+	}
+	t['\t'], t['\n'], t['\r'] = true, true, true
+	return t
+}()
 
 // startTag parses a start tag at pos ('<'). Element and attribute names are
 // restricted to a prefix-free ASCII subset of XML names; attribute values
@@ -542,23 +597,32 @@ func scanName(data []byte, i int) int {
 		return -1
 	}
 	i++
-	for i < len(data) {
-		c = data[i]
-		if c == '_' || c == '.' || c == '-' ||
-			c >= 'A' && c <= 'Z' || c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
-			i++
-			continue
-		}
-		break
+	for i < len(data) && nameByte[data[i]] {
+		i++
 	}
 	return i
 }
+
+// nameByte marks the bytes scanName accepts after the first.
+var nameByte = func() (t [256]bool) {
+	for c := 0; c < 256; c++ {
+		t[c] = c == '_' || c == '.' || c == '-' ||
+			c >= 'A' && c <= 'Z' || c >= 'a' && c <= 'z' || c >= '0' && c <= '9'
+	}
+	return t
+}()
 
 // scanAttrValue consumes a quoted attribute value and returns the index of
 // the closing quote. Raw '<' is rejected (as encoding/xml does); '>' and
 // "/>" are fine inside quotes; entities and characters are validated.
 func scanAttrValue(data []byte, i int, quote byte) int {
 	for i < len(data) {
+		for i < len(data) && plainAttrByte[data[i]] {
+			i++
+		}
+		if i >= len(data) {
+			break
+		}
 		c := data[i]
 		if c == quote {
 			return i
@@ -586,6 +650,14 @@ func scanAttrValue(data []byte, i int, quote byte) int {
 	}
 	return -1
 }
+
+// plainAttrByte marks the bytes scanAttrValue accepts without a second
+// look: ASCII XML characters other than '<', '&' and either quote.
+var plainAttrByte = func() (t [256]bool) {
+	t = plainTextByte
+	t[']'], t['"'], t['\''] = true, false, false
+	return t
+}()
 
 // entityLen validates the entity reference at the start of b (b[0] == '&')
 // and returns its byte length plus the referenced rune, or n=-1 when it is

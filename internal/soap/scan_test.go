@@ -2,6 +2,7 @@ package soap
 
 import (
 	"bytes"
+	"encoding/xml"
 	"fmt"
 	"reflect"
 	"strings"
@@ -307,7 +308,10 @@ func TestAddressingTextExtraction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %s: %v", raw, err)
 		}
-		var want toHeader
+		var want struct {
+			XMLName xml.Name `xml:"http://www.w3.org/2005/08/addressing To"`
+			Value   string   `xml:",chardata"`
+		}
 		b, ok := env.HeaderBlock(wsa.Namespace, "To")
 		if !ok {
 			t.Fatalf("no To block in %s", raw)
