@@ -13,14 +13,14 @@
 // convergence rounds vs the analytic variance-decay model, and — on lossy
 // links — how much conserved mass the network destroyed.
 //
-// Gossip and churn modes additionally accept -faults <file>, a fault plan
-// (see internal/faults.ParsePlan for the grammar) scheduled on the
-// simulation clock: directional cuts, connection-refused links, NAT'd
-// nodes, per-link loss and delay, and node crash/recover, all replayable
-// under the run's seed. The report then carries per-rule fault counters,
-// and the run exits non-zero if the table's totals disagree with the
-// network's fault-attributed stats — exact fault↔counter accounting is a
-// gate, not a printout.
+// Gossip, churn, and windowed aggregate (-epochs) modes additionally
+// accept -faults <file>, a fault plan (see internal/faults.ParsePlan for
+// the grammar) scheduled on the simulation clock: directional cuts,
+// connection-refused links, NAT'd nodes, per-link loss and delay, and node
+// crash/recover, all replayable under the run's seed. The report then
+// carries per-rule fault counters, and the run exits non-zero if the
+// table's totals disagree with the network's fault-attributed stats —
+// exact fault↔counter accounting is a gate, not a printout.
 package main
 
 import (
@@ -120,7 +120,7 @@ func run() error {
 		minCov    = flag.Float64("min-coverage", 0, "coverage budget: exit non-zero when the run's coverage falls below this fraction, 0 disables")
 		expName   = flag.String("exp", "", "large-N scaling experiment: coverage (E1-style point) or churn (E9-style point); uses the memory-diet harness, N=10^5..10^6 is the design target")
 		maxRSSMB  = flag.Int("max-rss-mb", 0, "memory budget for -exp runs: exit non-zero when peak RSS (VmHWM) exceeds this many MiB, 0 disables")
-		faultPath = flag.String("faults", "", "fault plan file scheduled on the simulation clock (gossip and churn modes); events apply as virtual time advances, so plan times should land inside the run's horizon")
+		faultPath = flag.String("faults", "", "fault plan file scheduled on the simulation clock (gossip, churn, and windowed aggregate -epochs modes); events apply as virtual time advances, so plan times should land inside the run's horizon")
 	)
 	flag.Parse()
 	if *minCov < 0 || *minCov > 1 {
@@ -670,64 +670,62 @@ func runChurn(n, fanout int, loss, leaveFrac float64, seed int64, ticks int, dum
 	return finish(reg, dumpReg, float64(covered)/float64(alive), minCov)
 }
 
-// runAggregate drives push-sum aggregation over the simulator.
-func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss float64, seed int64, dumpReg bool, minCov float64) error {
+// aggregateFunc checks the flags both aggregate modes share.
+func aggregateFunc(n, fanout int, fnName string, loss float64) (aggregate.Func, error) {
 	fn, err := aggregate.ParseFunc(fnName)
 	if err != nil {
-		return err
+		return "", err
 	}
 	if n < 2 || fanout < 1 {
-		return fmt.Errorf("aggregate mode needs n >= 2 and fanout >= 1")
+		return "", fmt.Errorf("aggregate mode needs n >= 2 and fanout >= 1")
 	}
 	if loss < 0 || loss >= 1 {
-		return fmt.Errorf("loss must be in [0,1)")
+		return "", fmt.Errorf("loss must be in [0,1)")
 	}
-	analytic, err := epidemic.PushSumRoundsToEpsilon(n, fanout, eps)
-	if err != nil {
-		return err
-	}
-	if maxRounds <= 0 {
-		maxRounds = 2*analytic + 10
-	}
+	return fn, nil
+}
 
-	reg := metrics.NewRegistry()
-	net := simnet.New(simnet.DefaultConfig(seed))
-	addrs := make([]string, n)
+// aggregateNodes attaches n SimNodes to net, node i holding a uniform
+// random local value in [0, 1000) drawn from seed, and returns them with
+// their addresses and the ground truth of fn over those values. window > 0
+// builds windowed nodes on net's clock.
+func aggregateNodes(net *simnet.Network, n, fanout int, fn aggregate.Func, seed int64, window time.Duration) (addrs []string, nodes []*aggregate.SimNode, truth float64, err error) {
+	addrs = make([]string, n)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("n%05d", i)
 	}
 	peers := gossip.NewStaticPeers(addrs)
 	rng := rand.New(rand.NewSource(seed))
-	nodes := make([]*aggregate.SimNode, n)
-	values := make([]float64, n)
+	nodes = make([]*aggregate.SimNode, n)
 	var truthSum, truthMin, truthMax float64
 	truthMin, truthMax = math.Inf(1), math.Inf(-1)
 	for i := range addrs {
-		values[i] = rng.Float64() * 1000
-		truthSum += values[i]
-		truthMin = math.Min(truthMin, values[i])
-		truthMax = math.Max(truthMax, values[i])
-		node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
+		v := rng.Float64() * 1000
+		truthSum += v
+		truthMin = math.Min(truthMin, v)
+		truthMax = math.Max(truthMax, v)
+		cfg := aggregate.SimNodeConfig{
 			Endpoint: net.Node(addrs[i]),
 			Peers:    peers,
 			Fanout:   fanout,
 			TaskID:   "sim",
 			Func:     fn,
-			Value:    values[i],
+			Value:    v,
 			Root:     i == 0,
 			RNG:      rand.New(rand.NewSource(seed*6151 + int64(i))),
-		})
+		}
+		if window > 0 {
+			cfg.Window, cfg.Clock = window, net
+		}
+		node, err := aggregate.NewSimNode(cfg)
 		if err != nil {
-			return err
+			return nil, nil, 0, err
 		}
 		mux := transport.NewMux()
 		node.Register(mux)
 		mux.Bind(net.Node(addrs[i]))
 		nodes[i] = node
 	}
-	net.SetLossRate(loss)
-
-	var truth float64
 	switch fn {
 	case aggregate.FuncCount:
 		truth = float64(n)
@@ -740,6 +738,30 @@ func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss
 	case aggregate.FuncMax:
 		truth = truthMax
 	}
+	return addrs, nodes, truth, nil
+}
+
+// runAggregate drives push-sum aggregation over the simulator.
+func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss float64, seed int64, dumpReg bool, minCov float64) error {
+	fn, err := aggregateFunc(n, fanout, fnName, loss)
+	if err != nil {
+		return err
+	}
+	analytic, err := epidemic.PushSumRoundsToEpsilon(n, fanout, eps)
+	if err != nil {
+		return err
+	}
+	if maxRounds <= 0 {
+		maxRounds = 2*analytic + 10
+	}
+
+	reg := metrics.NewRegistry()
+	net := simnet.New(simnet.DefaultConfig(seed))
+	addrs, nodes, truth, err := aggregateNodes(net, n, fanout, fn, seed, 0)
+	if err != nil {
+		return err
+	}
+	net.SetLossRate(loss)
 
 	// Exchange rounds fire from per-node self-clocking runners on the
 	// shared virtual clock; the harness only advances time and watches for
@@ -811,15 +833,9 @@ func runAggregate(n, fanout int, fnName string, eps float64, maxRounds int, loss
 // fails the run with a non-zero exit — this is the CI smoke gate for the
 // loss-tolerance claim.
 func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64, dumpReg bool, minCov float64, epochs int, window time.Duration, plan *faults.Plan) error {
-	fn, err := aggregate.ParseFunc(fnName)
+	fn, err := aggregateFunc(n, fanout, fnName, loss)
 	if err != nil {
 		return err
-	}
-	if n < 2 || fanout < 1 {
-		return fmt.Errorf("aggregate mode needs n >= 2 and fanout >= 1")
-	}
-	if loss < 0 || loss >= 1 {
-		return fmt.Errorf("loss must be in [0,1)")
 	}
 	if window < 4*roundPeriod {
 		return fmt.Errorf("window %v too short: epochs need several %v rounds to mix", window, roundPeriod)
@@ -831,54 +847,11 @@ func runWindowedAggregate(n, fanout int, fnName string, loss float64, seed int64
 	if err != nil {
 		return err
 	}
-	addrs := make([]string, n)
-	for i := range addrs {
-		addrs[i] = fmt.Sprintf("n%05d", i)
-	}
-	peers := gossip.NewStaticPeers(addrs)
-	rng := rand.New(rand.NewSource(seed))
-	nodes := make([]*aggregate.SimNode, n)
-	var truthSum, truthMin, truthMax float64
-	truthMin, truthMax = math.Inf(1), math.Inf(-1)
-	for i := range addrs {
-		v := rng.Float64() * 1000
-		truthSum += v
-		truthMin = math.Min(truthMin, v)
-		truthMax = math.Max(truthMax, v)
-		node, err := aggregate.NewSimNode(aggregate.SimNodeConfig{
-			Endpoint: net.Node(addrs[i]),
-			Peers:    peers,
-			Fanout:   fanout,
-			TaskID:   "sim",
-			Func:     fn,
-			Value:    v,
-			Root:     i == 0,
-			RNG:      rand.New(rand.NewSource(seed*6151 + int64(i))),
-			Window:   window,
-			Clock:    net,
-		})
-		if err != nil {
-			return err
-		}
-		mux := transport.NewMux()
-		node.Register(mux)
-		mux.Bind(net.Node(addrs[i]))
-		nodes[i] = node
+	addrs, nodes, truth, err := aggregateNodes(net, n, fanout, fn, seed, window)
+	if err != nil {
+		return err
 	}
 	net.SetLossRate(loss)
-	var truth float64
-	switch fn {
-	case aggregate.FuncCount:
-		truth = float64(n)
-	case aggregate.FuncSum:
-		truth = truthSum
-	case aggregate.FuncAvg:
-		truth = truthSum / float64(n)
-	case aggregate.FuncMin:
-		truth = truthMin
-	case aggregate.FuncMax:
-		truth = truthMax
-	}
 
 	runners, err := startRunners(net, addrs, seed, reg, func(i int) func(context.Context) {
 		return nodes[i].Tick

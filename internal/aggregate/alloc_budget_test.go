@@ -8,8 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"wsgossip/internal/clock"
+	"wsgossip/internal/core"
 	"wsgossip/internal/gossip"
+	"wsgossip/internal/soap"
 	"wsgossip/internal/transport"
+	"wsgossip/internal/wscoord"
 )
 
 // Allocation-budget regression guard for the windowed per-exchange hot
@@ -84,23 +88,29 @@ func newExchangePair(t testing.TB) (*SimNode, *SimNode) {
 	return a, b
 }
 
-func TestWindowedExchangeAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
+// allocBudget reads one committed budget from testdata/alloc_budget.json.
+func allocBudget(t *testing.T, key string) float64 {
+	t.Helper()
 	raw, err := os.ReadFile("testdata/alloc_budget.json")
 	if err != nil {
 		t.Fatalf("read alloc budget: %v", err)
 	}
-	var budget struct {
-		MaxAllocs float64 `json:"windowed_exchange_max_allocs"`
-	}
-	if err := json.Unmarshal(raw, &budget); err != nil {
+	var budgets map[string]any
+	if err := json.Unmarshal(raw, &budgets); err != nil {
 		t.Fatalf("parse alloc budget: %v", err)
 	}
-	if budget.MaxAllocs <= 0 {
-		t.Fatal("alloc budget missing windowed_exchange_max_allocs")
+	max, _ := budgets[key].(float64)
+	if max <= 0 {
+		t.Fatalf("alloc budget missing %s", key)
 	}
+	return max
+}
+
+func TestWindowedExchangeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	maxAllocs := allocBudget(t, "windowed_exchange_max_allocs")
 	a, b := newExchangePair(t)
 	ctx := context.Background()
 	// Warm up: first tick rolls the epoch and sizes the maps.
@@ -119,9 +129,63 @@ func TestWindowedExchangeAllocBudget(t *testing.T) {
 	if e := a.MassError(); e != 0 {
 		t.Fatalf("mass error = %g, want exactly 0", e)
 	}
-	if allocs > budget.MaxAllocs {
+	if allocs > maxAllocs {
 		t.Errorf("windowed exchange = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)",
-			allocs, budget.MaxAllocs)
+			allocs, maxAllocs)
 	}
-	t.Logf("windowed exchange: %.1f allocs/op (budget %.0f)", allocs, budget.MaxAllocs)
+	t.Logf("windowed exchange: %.1f allocs/op (budget %.0f)", allocs, maxAllocs)
+}
+
+// TestServiceWindowedExchangeAllocBudget is the same guard for the shipped
+// SOAP binding: two Services on a MemBus (synchronous loopback dispatch),
+// each holding the same continuous task, so one Tick on a runs the whole
+// share→absorb→ack→commit cycle through the SOAP codec before returning.
+func TestServiceWindowedExchangeAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	maxAllocs := allocBudget(t, "service_windowed_exchange_max_allocs")
+	bus := soap.NewMemBus()
+	clk := clock.NewVirtual()
+	cctx := wscoord.CoordinationContext{
+		Identifier:          "urn:uuid:alloc-bench",
+		CoordinationType:    core.CoordinationTypeGossip,
+		RegistrationService: wscoord.ServiceRef{Address: "mem://coordinator"},
+	}
+	mk := func(addr, peer string) *Service {
+		svc, err := NewService(ServiceConfig{
+			Address: addr,
+			Caller:  bus,
+			Clock:   clk,
+			Value:   func() float64 { return 1 },
+			RNG:     rand.New(rand.NewSource(1)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus.Register(addr, svc.Handler())
+		params := core.AggregateParameters{Fanout: 1, Targets: []string{peer}}
+		svc.startContinuousLocal(cctx.Identifier, FuncAvg, cctx, params, time.Second, "")
+		return svc
+	}
+	a := mk("mem://a", "mem://b")
+	mk("mem://b", "mem://a")
+	ctx := context.Background()
+	// Warm up: size the dedup and pending maps.
+	a.Tick(ctx)
+	allocs := testing.AllocsPerRun(200, func() {
+		a.Tick(ctx)
+	})
+	st := a.Stats()
+	if st.Commits == 0 || st.Recovered != 0 || st.SendErrors != 0 {
+		t.Fatalf("service pair did not exercise the commit path: %+v", st)
+	}
+	if out, _ := a.Outstanding(cctx.Identifier); out != 0 {
+		t.Fatalf("outstanding = %g after synchronous acks, want 0", out)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("service windowed exchange = %.1f allocs/op, budget %.0f (testdata/alloc_budget.json)",
+			allocs, maxAllocs)
+	}
+	t.Logf("service windowed exchange: %.1f allocs/op (budget %.0f)", allocs, maxAllocs)
 }

@@ -10,69 +10,29 @@ import (
 	"wsgossip/internal/wscoord"
 )
 
-// contState is the epoch-windowed side of a task: which epoch the node is
-// in, which split shares are still awaiting their ack, which (sender, seq)
-// pairs have already been absorbed this epoch, and the last closed epoch's
-// frozen estimate.
-type contState struct {
-	window time.Duration
-	root   string
-	metric string
-	// epoch is the 1-based live epoch; 0 until the first roll.
-	epoch uint64
-	// contributeFrom is the first epoch this node contributes its local
-	// value (and anchor weight, if root) into. A node that joins through
-	// the start flood contributes immediately; one that joins through a
-	// stray share stays passive for the remainder of the current window
-	// and is absorbed at the next boundary.
-	contributeFrom uint64
-	// nextSeq allocates per-task share sequence numbers. Never reset: a
-	// seq identifies one transfer attempt across retries and epochs.
-	nextSeq uint64
-	// pending holds split shares not yet acknowledged, keyed by seq.
-	pending map[uint64]*pendingShare
-	// seen dedups absorbed shares per sender for the live epoch.
-	seen map[string]map[uint64]struct{}
-	// frozen is the last closed epoch's final estimate.
-	frozen *EpochEstimate
-	// contributed is the weight this node injected into the live epoch
-	// (contribution plus anchor) — the conservation tests' ground truth.
-	contributed float64
+// contBatch is one continuous task's sends, staged under the service lock
+// and sent outside it.
+type contBatch struct {
+	t     *task
+	cctx  wscoord.CoordinationContext
+	sends []exchangeSend
 }
 
-// pendingShare is one outstanding transfer: the share as sent (so retries
-// are byte-identical) and how often it has been retried.
-type pendingShare struct {
-	to    string
-	epoch uint64
-	share Share
-	tries int
-}
-
-// contSend is one continuous-mode wire operation staged under the lock and
-// sent outside it.
-type contSend struct {
-	taskID string
-	cctx   wscoord.CoordinationContext
-	share  Share
-	to     string
-	seq    uint64
-	// retry marks a re-send: a synchronous failure must not recover the
-	// mass, because an earlier attempt may have been delivered.
-	retry bool
-}
-
-// newContState builds the continuous side of a task from a start message.
-// addr is the local node, which contributes from the current epoch onward
-// (contributeFrom 0 = immediately at the first roll).
-func newContState(start Start, addr string) *contState {
-	return &contState{
-		window:  time.Duration(start.WindowMillis) * time.Millisecond,
-		root:    start.Root,
-		metric:  start.Metric,
-		pending: make(map[uint64]*pendingShare),
-		seen:    make(map[string]map[uint64]struct{}),
-	}
+// newContinuousTask builds a continuous task on the service's clock. Each
+// epoch roll re-contributes the metric's local value (none: the node
+// relays passively) and, at the root, the anchor weight. The caller
+// defers contributeFrom for a passive join and rolls the task into its
+// first epoch.
+func (s *Service) newContinuousTask(fn Func, params core.AggregateParameters, cctx wscoord.CoordinationContext, window time.Duration, root, metric string) *task {
+	t := &task{params: params, cctx: cctx, root: root, metric: metric}
+	t.epochExchange = newEpochExchange(fn, window, s.clk, &s.stats, func() (float64, bool, bool) {
+		root := t.root != "" && t.root == s.cfg.Address
+		if vf, ok := s.valueForLocked(t.metric); ok {
+			return vf(), root, true
+		}
+		return 0, root, false
+	})
+	return t
 }
 
 // valueForLocked resolves the local value source for a metric name: the
@@ -89,84 +49,13 @@ func (s *Service) valueForLocked(metric string) (func() float64, bool) {
 	return nil, false
 }
 
-// rollTaskLocked retires the task's live epoch and enters epoch k. The old
-// epoch's outstanding shares, dedup state, and ledger are discarded as a
-// unit — its balance was zero, so removing all of it keeps the gauge at
-// zero, and any absorbed-but-unacked ambiguity dies with the epoch. The
-// node then re-contributes its local value (and anchor weight if it is the
-// root) into the fresh state. Caller holds s.mu and re-evaluates the gauge.
-func (s *Service) rollTaskLocked(t *task, k uint64, now time.Duration) {
-	c := t.cont
-	if k <= c.epoch {
-		return
-	}
-	if c.epoch != 0 {
-		est, ok := t.state.Estimate()
-		_, w := t.state.Mass()
-		c.frozen = &EpochEstimate{
-			Epoch:    c.epoch,
-			Estimate: est,
-			Defined:  ok,
-			Weight:   w,
-			Rounds:   t.state.Rounds(),
-			ClosedAt: now,
-		}
-	}
-	if n := len(c.pending); n > 0 {
-		s.stats.unacked.Add(int64(n))
-	}
-	c.pending = make(map[uint64]*pendingShare)
-	c.seen = make(map[string]map[uint64]struct{})
-	t.led = ledger{}
-	c.contributed = 0
-	c.epoch = k
-
-	passive := true
-	var value float64
-	if k >= c.contributeFrom {
-		if vf, ok := s.valueForLocked(c.metric); ok {
-			passive = false
-			value = vf()
-		}
-	}
-	root := c.root != "" && c.root == s.cfg.Address && k >= c.contributeFrom
-	t.state = NewState(t.state.Func(), value, root, passive)
-	_, w := t.state.Mass()
-	t.led.in += w
-	c.contributed = w
-	s.stats.epochs.Inc()
-}
-
 // tickContinuousLocked runs one continuous-task round: roll the epoch if
 // the clock crossed a boundary, stage retries for every outstanding share,
-// then split fresh shares for sampled targets (skipping targets whose
-// oldest pending share has timed out — see suspectTries). Caller holds
-// s.mu; the staged sends go out after the lock is released.
-func (s *Service) tickContinuousLocked(t *task, id string) []contSend {
-	c := t.cont
-	now := s.clk.Now()
-	if k := EpochAt(now, c.window); k > c.epoch {
-		s.rollTaskLocked(t, k, now)
-	}
-	var sends []contSend
-	// Retry every outstanding share in seq order (determinism). The
-	// receiver dedups on (From, Seq), so a share whose first copy arrived
-	// but whose ack was lost is absorbed exactly once and simply re-acked.
-	if len(c.pending) > 0 {
-		seqs := make([]uint64, 0, len(c.pending))
-		for q := range c.pending {
-			seqs = append(seqs, q)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, q := range seqs {
-			p := c.pending[q]
-			p.tries++
-			s.stats.retries.Inc()
-			sends = append(sends, contSend{
-				taskID: id, cctx: t.cctx, share: p.share, to: p.to, seq: q, retry: true,
-			})
-		}
-	}
+// then split fresh shares for sampled targets that are not suspect. Caller
+// holds s.mu; the staged sends go out after the lock is released.
+func (s *Service) tickContinuousLocked(t *task, id string) []exchangeSend {
+	t.advance()
+	sends := t.retries(nil)
 	fanout := t.params.Fanout
 	if fanout <= 0 {
 		if s.cfg.Peers == nil && len(t.params.Targets) == 0 {
@@ -175,102 +64,30 @@ func (s *Service) tickContinuousLocked(t *task, id string) []contSend {
 		fanout = passiveFanout
 	}
 	targets := core.SelectTargets(s.cfg.Peers, s.rng, fanout, s.cfg.Address, t.params.Targets)
-	if len(c.pending) > 0 {
-		suspect := make(map[string]bool)
-		for _, p := range c.pending {
-			if p.tries >= suspectTries {
-				suspect[p.to] = true
-			}
-		}
-		if len(suspect) > 0 {
-			kept := targets[:0]
-			for _, tg := range targets {
-				if !suspect[tg] {
-					kept = append(kept, tg)
-				}
-			}
-			targets = kept
-		}
-	}
-	if len(targets) == 0 {
-		return sends
-	}
-	t.state.BeginRound()
-	s.stats.rounds.Inc()
-	shareSum, shareWeight := t.state.Split(len(targets))
-	for _, tg := range targets {
-		c.nextSeq++
-		sh := t.state.share(id, s.cfg.Address, shareSum, shareWeight)
-		sh.WindowMillis = c.window.Milliseconds()
-		sh.Epoch = c.epoch
-		sh.Seq = c.nextSeq
-		sh.Root = c.root
-		sh.Metric = c.metric
-		c.pending[c.nextSeq] = &pendingShare{to: tg, epoch: c.epoch, share: sh}
-		// Outstanding is charged per share (not batched) so a later
-		// per-share recovery or commit cancels its entry term-for-term.
-		t.led.outstanding += shareWeight
-		sends = append(sends, contSend{
-			taskID: id, cctx: t.cctx, share: sh, to: tg, seq: sh.Seq,
-		})
-	}
-	return sends
+	return t.split(sends, t.dropSuspects(targets), Share{
+		TaskID: id, From: s.cfg.Address, Root: t.root, Metric: t.metric,
+	})
 }
 
 // sendContinuous performs the staged continuous sends outside the service
-// lock. A synchronous refusal on a share's first send proves it was never
-// delivered, so its mass is recovered immediately; a refused retry proves
-// nothing (an earlier copy may have arrived) and the share stays pending
-// until its ack or the epoch boundary.
-func (s *Service) sendContinuous(ctx context.Context, sends []contSend) {
-	for _, cs := range sends {
-		env, err := buildMessage(ActionExchange, cs.cctx, cs.share)
-		if err != nil {
-			if !cs.retry {
-				s.recoverPending(cs.taskID, cs.seq)
+// lock and reports each synchronous refusal back to its task's exchange.
+func (s *Service) sendContinuous(ctx context.Context, batches []contBatch) {
+	for _, b := range batches {
+		for _, cs := range b.sends {
+			env, err := buildMessage(ActionExchange, b.cctx, cs.share)
+			if err == nil {
+				err = s.cfg.Caller.Send(ctx, cs.to, env)
 			}
-			continue
-		}
-		if err := s.cfg.Caller.Send(ctx, cs.to, env); err != nil {
-			if cs.retry {
-				s.stats.sendErrors.Inc()
-			} else {
-				s.recoverPending(cs.taskID, cs.seq)
+			if err != nil {
+				s.mu.Lock()
+				b.t.refused(cs)
+				s.evalMassLocked()
+				s.mu.Unlock()
+				continue
 			}
-			continue
+			s.stats.sharesSent.Inc()
 		}
-		s.stats.sharesSent.Inc()
 	}
-}
-
-// recoverPending reclaims the mass of a share whose first send was refused
-// synchronously: the share provably never left this node, so absorbing it
-// back and cancelling its outstanding entry keeps the ledger exact.
-func (s *Service) recoverPending(taskID string, seq uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tasks[taskID]
-	if !ok || t.cont == nil {
-		return
-	}
-	p, ok := t.cont.pending[seq]
-	if !ok || p.epoch != t.cont.epoch {
-		return
-	}
-	delete(t.cont.pending, seq)
-	t.state.Absorb(Share{
-		Sum:         p.share.Sum,
-		Weight:      p.share.Weight,
-		HasExtremes: p.share.HasExtremes,
-		Min:         p.share.Min,
-		Max:         p.share.Max,
-	})
-	// The mass moves straight from outstanding back to held: in/out are
-	// untouched, so the cancellation stays term-exact.
-	t.led.outstanding -= p.share.Weight
-	s.stats.recovered.Inc()
-	s.stats.sendErrors.Inc()
-	s.evalMassLocked()
 }
 
 // handleContinuousShare absorbs one epoch-tagged share and acks it. A node
@@ -292,61 +109,26 @@ func (s *Service) handleContinuousShare(ctx context.Context, req *soap.Request, 
 		// Registration can fail (coordinator down); the node still holds
 		// the mass it absorbs, so the totals stay conserved.
 		params, _ := s.registerTask(ctx, cctx)
-		c := newContState(Start{
-			WindowMillis: share.WindowMillis,
-			Root:         share.Root,
-			Metric:       share.Metric,
-		}, s.cfg.Address)
-		t = &task{state: NewState(fn, 0, false, true), params: params, cctx: cctx, cont: c}
+		t = s.newContinuousTask(fn, params, cctx,
+			time.Duration(share.WindowMillis)*time.Millisecond, share.Root, share.Metric)
 		s.mu.Lock()
 		if existing, raced := s.tasks[share.TaskID]; raced {
 			t = existing
 		} else {
 			// Mid-window joiner: relay passively for the rest of this
 			// window, contribute from the next boundary on.
-			now := s.clk.Now()
-			c.contributeFrom = EpochAt(now, c.window) + 1
+			t.contributeFrom = EpochAt(s.clk.Now(), t.window) + 1
 			s.tasks[share.TaskID] = t
 			s.stats.passiveJoins.Inc()
 		}
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
-	c := t.cont
-	if c == nil {
+	if !t.windowed() {
 		s.mu.Unlock()
 		return nil, soap.NewFault(soap.CodeSender, "continuous share for one-shot task "+share.TaskID)
 	}
-	now := s.clk.Now()
-	k := EpochAt(now, c.window)
-	if share.Epoch > k {
-		k = share.Epoch
-	}
-	if k > c.epoch {
-		s.rollTaskLocked(t, k, now)
-	}
-	switch {
-	case share.Epoch == c.epoch:
-		m := c.seen[share.From]
-		if m == nil {
-			m = make(map[uint64]struct{})
-			c.seen[share.From] = m
-		}
-		if _, dup := m[share.Seq]; dup {
-			s.stats.dups.Inc()
-		} else {
-			m[share.Seq] = struct{}{}
-			t.state.Absorb(share)
-			t.led.in += share.Weight
-			s.stats.sharesAbsorbed.Inc()
-		}
-	default:
-		// share.Epoch < c.epoch: the sender is still in a retired epoch.
-		// Ack without absorbing — the mass died with that epoch everywhere,
-		// and the ack both stops the retries and rolls the sender forward.
-		s.stats.stale.Inc()
-	}
-	ackEpoch := c.epoch
+	ackEpoch := t.absorb(share.From, &share)
 	cctx := t.cctx
 	s.evalMassLocked()
 	s.mu.Unlock()
@@ -364,32 +146,19 @@ func (s *Service) handleContinuousShare(ctx context.Context, req *soap.Request, 
 	return nil, nil
 }
 
-// handleExchangeAck commits one outstanding transfer: the share's mass
-// moves from the outstanding account to the committed-out ledger at the
-// moment the ack arrives — the commit point the mass-error gauge is
-// re-evaluated at. An ack from a later epoch also rolls this node forward.
+// handleExchangeAck hands one ack to its task's exchange, which commits
+// the transfer (and rolls forward on a later epoch); the mass-error gauge
+// is re-evaluated at that commit point.
 func (s *Service) handleExchangeAck(_ context.Context, req *soap.Request) (*soap.Envelope, error) {
 	var ack ExchangeAck
 	if err := req.Envelope.DecodeBody(&ack); err != nil {
 		return nil, soap.NewFault(soap.CodeSender, "malformed AggregateExchangeAck: "+err.Error())
 	}
 	s.mu.Lock()
-	t, ok := s.tasks[ack.TaskID]
-	if !ok || t.cont == nil {
-		s.mu.Unlock()
-		return nil, nil
+	if t, ok := s.tasks[ack.TaskID]; ok && t.windowed() {
+		t.commit(ack.Seq, ack.Epoch)
+		s.evalMassLocked()
 	}
-	c := t.cont
-	if p, ok := c.pending[ack.Seq]; ok && p.epoch == c.epoch {
-		delete(c.pending, ack.Seq)
-		t.led.outstanding -= p.share.Weight
-		t.led.out += p.share.Weight
-		s.stats.commits.Inc()
-	}
-	if ack.Epoch > c.epoch {
-		s.rollTaskLocked(t, ack.Epoch, s.clk.Now())
-	}
-	s.evalMassLocked()
 	s.mu.Unlock()
 	return nil, nil
 }
@@ -403,15 +172,9 @@ func (s *Service) startContinuousLocal(taskID string, fn Func, cctx wscoord.Coor
 		s.mu.Unlock()
 		return
 	}
-	c := newContState(Start{
-		WindowMillis: window.Milliseconds(),
-		Root:         s.cfg.Address,
-		Metric:       metric,
-	}, s.cfg.Address)
-	t := &task{state: NewState(fn, 0, false, true), params: params, cctx: cctx, cont: c}
+	t := s.newContinuousTask(fn, params, cctx, window, s.cfg.Address, metric)
 	s.tasks[taskID] = t
-	now := s.clk.Now()
-	s.rollTaskLocked(t, EpochAt(now, window), now)
+	t.advance()
 	s.stats.started.Inc()
 	s.evalMassLocked()
 	s.mu.Unlock()
@@ -443,7 +206,7 @@ func (s *Service) ContinuousEstimates() []ContinuousEstimate {
 	out := make([]ContinuousEstimate, 0)
 	ids := make([]string, 0, len(s.tasks))
 	for id, t := range s.tasks {
-		if t.cont != nil {
+		if t.windowed() {
 			ids = append(ids, id)
 		}
 	}
@@ -453,15 +216,14 @@ func (s *Service) ContinuousEstimates() []ContinuousEstimate {
 		live, ok := t.state.Estimate()
 		ce := ContinuousEstimate{
 			TaskID:      id,
-			Metric:      t.cont.metric,
+			Metric:      t.metric,
 			Function:    t.state.Func(),
-			Window:      t.cont.window,
-			Epoch:       t.cont.epoch,
+			Window:      t.window,
+			Epoch:       t.epoch,
 			Live:        live,
 			LiveDefined: ok,
 		}
-		if t.cont.frozen != nil {
-			f := *t.cont.frozen
+		if f, ok := t.frozenEstimate(); ok {
 			ce.Frozen = &f
 		}
 		out = append(out, ce)
@@ -474,8 +236,8 @@ func (s *Service) ContinuousEstimates() []ContinuousEstimate {
 func (s *Service) EpochOf(taskID string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok && t.cont != nil {
-		return t.cont.epoch
+	if t, ok := s.tasks[taskID]; ok && t.windowed() {
+		return t.epoch
 	}
 	return 0
 }
@@ -485,8 +247,8 @@ func (s *Service) EpochOf(taskID string) uint64 {
 func (s *Service) FrozenEstimate(taskID string) (EpochEstimate, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok && t.cont != nil && t.cont.frozen != nil {
-		return *t.cont.frozen, true
+	if t, ok := s.tasks[taskID]; ok && t.windowed() {
+		return t.frozenEstimate()
 	}
 	return EpochEstimate{}, false
 }
@@ -497,8 +259,8 @@ func (s *Service) FrozenEstimate(taskID string) (EpochEstimate, bool) {
 func (s *Service) Outstanding(taskID string) (outstanding, contributed float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tasks[taskID]; ok && t.cont != nil {
-		return t.led.outstanding, t.cont.contributed
+	if t, ok := s.tasks[taskID]; ok && t.windowed() {
+		return t.led.outstanding, t.contributed
 	}
 	return 0, 0
 }

@@ -18,7 +18,7 @@
 //     anchors count/sum queries, disseminates the start message over the
 //     assigned overlay, and collects the converged estimate.
 //   - A SimNode is the transport-level participant for simulator-scale runs
-//     (cmd/wsgossip-sim -mode aggregate).
+//     (cmd/wsgossip-sim -mode aggregate), over a compact JSON wire.
 //   - A Window turns one-shot queries into continuous ones: driven as the
 //     querier's Runner loop, it keeps every configured query
 //     (ContinuousQuery) fresh by restarting push-sum each epoch.
@@ -46,8 +46,19 @@
 // until the receiver's ack commits it, absorb+ack is idempotent under
 // (sender, seq) dedup, and only a synchronous first-send failure may
 // recover mass locally (a retry failure never does — an earlier attempt
-// may have been delivered). The aggregate_mass_error gauge is evaluated at
-// every commit point and reads exactly zero at every observable instant;
-// the property-based suite in internal/scenario holds it there under
-// generated loss/churn/partition schedules.
+// may have been delivered).
+//
+// That windowed exchange is written once, as one lock-free core
+// (epochExchange, exchange.go) that owns the epoch, the pending shares,
+// the dedup set, the ledger, and every transition: roll, retry, suspect
+// filter, split, first-send recovery, absorb, and ack commit. It sends
+// nothing. Two bindings drive it: the Service (SOAP, under its mutex,
+// sending outside the lock) and the SimNode (the simulator's JSON wire,
+// single-threaded). Each binding picks peers, encodes and sends, and
+// supplies the local contribution and the dedup sender, so the conservation
+// property suite in internal/scenario, which runs SimNodes, exercises the
+// same state machine the Service ships. Both bindings count into the same
+// aggregate_* series (ServiceStats and SimNodeStats are views over them).
+// The aggregate_mass_error gauge is evaluated at every commit point and
+// reads exactly zero at every observable instant.
 package aggregate

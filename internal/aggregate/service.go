@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wsgossip/internal/clock"
 	"wsgossip/internal/core"
@@ -36,8 +37,9 @@ type ServiceStats struct {
 	StartsForwarded int64
 	// QueriesServed counts answered estimate queries.
 	QueriesServed int64
-	// SendErrors counts failed sends (mass in unsent shares is returned
-	// to local state, preserving conservation).
+	// SendErrors counts every synchronous send refusal — shares, acks,
+	// and start floods. A refused share whose mass came back to local
+	// state counts here as well as in Recovered.
 	SendErrors int64
 	// Epochs counts continuous-task epoch rolls.
 	Epochs int64
@@ -48,7 +50,8 @@ type ServiceStats struct {
 	// Retries counts re-sends of unacked outstanding shares.
 	Retries int64
 	// Recovered counts shares whose mass was reclaimed after a synchronous
-	// send refusal (the only mid-epoch recovery: the share is known unsent).
+	// first-send refusal (the only mid-epoch recovery: the share is known
+	// unsent). Each is also one of SendErrors.
 	Recovered int64
 	// StaleShares counts shares from already-retired epochs (acked but not
 	// absorbed).
@@ -97,17 +100,16 @@ type ServiceConfig struct {
 
 // task is one aggregation interaction this node participates in.
 type task struct {
-	state  *State
+	// epochExchange holds the push-sum state and its ledger. A one-shot
+	// task uses only those two, and charges out when a share is handed to
+	// the fan-out (the legacy fire-and-forget contract); a continuous task
+	// runs the whole epoch-windowed exchange.
+	epochExchange
 	params core.AggregateParameters
 	cctx   wscoord.CoordinationContext
-	// led is the task's conservation account (see ledger). For one-shot
-	// tasks out is charged when a share is handed to the fan-out (the
-	// legacy fire-and-forget contract); for continuous tasks a split share
-	// sits in outstanding until its ack commits the transfer.
-	led ledger
-	// cont holds the epoch-windowed state for continuous tasks; nil for
-	// classic one-shot aggregations.
-	cont *contState
+	// root and metric name a continuous task's anchor node and local
+	// value source.
+	root, metric string
 }
 
 // Service is the aggregation participant role: application code supplies
@@ -284,8 +286,7 @@ func (s *Service) RegisterActions(d *soap.Dispatcher) {
 func (s *Service) evalMassLocked() {
 	var err float64
 	for _, t := range s.tasks {
-		_, w := t.state.Mass()
-		err += t.led.balance(w)
+		err += t.massError()
 	}
 	s.stats.massErr.Set(err)
 }
@@ -391,16 +392,16 @@ func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Env
 		s.mu.Unlock()
 		return nil, nil
 	}
-	t := &task{state: st, params: params, cctx: cctx}
+	var t *task
 	if start.WindowMillis > 0 {
 		// A continuous start: the state built above is discarded in favour
 		// of an epoch roll, which contributes the local value into the
 		// current epoch and seeds the anchor if this node is the root.
-		t.state = NewState(fn, 0, false, true)
-		t.cont = newContState(start, s.cfg.Address)
-		now := s.clk.Now()
-		s.rollTaskLocked(t, EpochAt(now, t.cont.window), now)
+		t = s.newContinuousTask(fn, params, cctx,
+			time.Duration(start.WindowMillis)*time.Millisecond, start.Root, start.Metric)
+		t.advance()
 	} else {
+		t = &task{epochExchange: epochExchange{state: st}, params: params, cctx: cctx}
 		_, w := st.Mass()
 		t.led.in += w
 	}
@@ -422,16 +423,16 @@ func (s *Service) handleStart(ctx context.Context, req *soap.Request) (*soap.Env
 func (s *Service) upgradePassiveTask(ctx context.Context, t *task, start Start, cctx wscoord.CoordinationContext) {
 	s.mu.Lock()
 	needTargets := len(t.params.Targets) == 0
-	if t.cont != nil {
+	if t.windowed() {
 		// Continuous task that joined through a share: the start only
 		// confirms what the share already carried. The node begins
 		// contributing at the next epoch boundary (set by the passive
 		// join), never retroactively mid-window.
-		if t.cont.root == "" {
-			t.cont.root = start.Root
+		if t.root == "" {
+			t.root = start.Root
 		}
-		if t.cont.metric == "" {
-			t.cont.metric = start.Metric
+		if t.metric == "" {
+			t.metric = start.Metric
 		}
 	} else {
 		_, w0 := t.state.Mass()
@@ -548,7 +549,7 @@ func (s *Service) handleExchange(ctx context.Context, req *soap.Request) (*soap.
 		// the mass so the totals stay conserved — it just cannot relay
 		// until a later start or share brings usable targets.
 		params, _ := s.registerTask(ctx, cctx)
-		t = &task{state: NewState(fn, 0, false, true), params: params, cctx: cctx}
+		t = &task{epochExchange: epochExchange{state: NewState(fn, 0, false, true)}, params: params, cctx: cctx}
 		s.mu.Lock()
 		if existing, raced := s.tasks[share.TaskID]; raced {
 			t = existing
@@ -615,7 +616,7 @@ func (s *Service) Tick(ctx context.Context) {
 		targets []string
 	}
 	var sends []outgoing
-	var contSends []contSend
+	var batches []contBatch
 	s.mu.Lock()
 	ids := make([]string, 0, len(s.tasks))
 	for id := range s.tasks {
@@ -624,8 +625,10 @@ func (s *Service) Tick(ctx context.Context) {
 	sort.Strings(ids)
 	for _, id := range ids {
 		t := s.tasks[id]
-		if t.cont != nil {
-			contSends = append(contSends, s.tickContinuousLocked(t, id)...)
+		if t.windowed() {
+			if cs := s.tickContinuousLocked(t, id); len(cs) > 0 {
+				batches = append(batches, contBatch{t: t, cctx: t.cctx, sends: cs})
+			}
 			continue
 		}
 		fanout := t.params.Fanout
@@ -686,7 +689,7 @@ func (s *Service) Tick(ctx context.Context) {
 		}
 		s.stats.sharesSent.Add(int64(sent))
 	}
-	s.sendContinuous(ctx, contSends)
+	s.sendContinuous(ctx, batches)
 }
 
 // returnShares re-absorbs n undeliverable copies of a share and counts the
@@ -722,11 +725,7 @@ func (s *Service) startLocalTask(taskID string, fn Func, cctx wscoord.Coordinati
 		return
 	}
 	st := NewState(fn, value, root, passive)
-	t := &task{
-		state:  st,
-		params: params,
-		cctx:   cctx,
-	}
+	t := &task{epochExchange: epochExchange{state: st}, params: params, cctx: cctx}
 	_, w := st.Mass()
 	t.led.in += w
 	s.tasks[taskID] = t

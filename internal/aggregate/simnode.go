@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"wsgossip/internal/gossip"
+	"wsgossip/internal/metrics"
 	"wsgossip/internal/transport"
 )
 
@@ -16,8 +16,9 @@ import (
 // cmd/wsgossip-sim drive aggregation over the deterministic simulator at
 // scales (and loss rates) the SOAP harness does not reach, mirroring how
 // the dissemination engine has both a SOAP binding and a simnet binding.
-// With a Window configured it runs the epoch-windowed, acked exchange of
-// the continuous plane instead of one-shot fire-and-forget.
+// With a Window configured it binds the same epochExchange core the
+// Service runs (exchange.go) instead of one-shot fire-and-forget; only the
+// wire format and the peer source are its own.
 
 // Wire actions for simulator push-sum exchanges and their acks.
 const (
@@ -47,14 +48,8 @@ type simAck struct {
 	Seq   uint64 `json:"q"`
 }
 
-// simPending is one outstanding windowed transfer awaiting its ack.
-type simPending struct {
-	to    string
-	share Share
-	tries int
-}
-
-// SimNodeStats counts one simulator node's windowed-exchange events.
+// SimNodeStats counts one simulator node's windowed-exchange events. It is
+// a view over the same aggregate_* counters ServiceStats reads.
 type SimNodeStats struct {
 	// Epochs is how many epoch rolls the node has performed.
 	Epochs int64
@@ -74,13 +69,15 @@ type SimNodeStats struct {
 	// Retries counts re-sends of still-unacked shares.
 	Retries int64
 	// Recovered counts shares reclaimed after a synchronous first-send
-	// refusal (the only case where mid-epoch recovery is sound).
+	// refusal (the only case where mid-epoch recovery is sound). Each is
+	// also one of SendErrors.
 	Recovered int64
 	// UnackedDiscarded counts pending shares retired wholesale at epoch
 	// boundaries.
 	UnackedDiscarded int64
-	// SendErrors counts synchronous send refusals that did not recover mass
-	// (retries and acks).
+	// SendErrors counts every synchronous send refusal — first sends,
+	// retries, and acks. A refused first send whose mass came back to local
+	// state counts here as well as in Recovered.
 	SendErrors int64
 }
 
@@ -114,20 +111,12 @@ type SimNodeConfig struct {
 // SimNode is one simulator participant. All calls arrive from the
 // simulator's single-threaded event loop, so no locking is needed.
 type SimNode struct {
-	cfg   SimNodeConfig
-	rng   *rand.Rand
-	state *State
-
-	// Windowed-mode machinery; zero-valued and unused in legacy mode.
-	epoch          uint64
-	contributeFrom uint64
-	nextSeq        uint64
-	led            ledger
-	pending        map[uint64]*simPending
-	seen           map[string]map[uint64]struct{}
-	frozen         *EpochEstimate
-	contributed    float64
-	stats          SimNodeStats
+	// epochExchange holds the push-sum state; in windowed mode it runs the
+	// acked exchange the SimNode binds to the transport.
+	epochExchange
+	cfg      SimNodeConfig
+	rng      *rand.Rand
+	counters aggCounters
 }
 
 // encodeCap sizes encode buffers so a typical share fits in one allocation.
@@ -153,8 +142,11 @@ func NewSimNode(cfg SimNodeConfig) (*SimNode, error) {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	n := &SimNode{cfg: cfg, rng: rng}
+	n := &SimNode{cfg: cfg, rng: rng, counters: newAggCounters(metrics.NewRegistry())}
 	if cfg.Window > 0 {
+		n.epochExchange = newEpochExchange(cfg.Func, cfg.Window, cfg.Clock, &n.counters, func() (float64, bool, bool) {
+			return cfg.Value, cfg.Root, true
+		})
 		// Passive until the first roll. A node created mid-window is
 		// absorbed at the NEXT epoch boundary: it relays and holds mass for
 		// the in-progress epoch but contributes its own value only from the
@@ -165,9 +157,6 @@ func NewSimNode(cfg SimNodeConfig) (*SimNode, error) {
 		if cfg.Clock.Now()%cfg.Window != 0 {
 			n.contributeFrom++
 		}
-		n.state = NewState(cfg.Func, 0, false, true)
-		n.pending = make(map[uint64]*simPending)
-		n.seen = make(map[string]map[uint64]struct{})
 	} else {
 		n.state = NewState(cfg.Func, cfg.Value, cfg.Root, false)
 	}
@@ -187,12 +176,7 @@ func (n *SimNode) State() *State { return n.state }
 func (n *SimNode) Epoch() uint64 { return n.epoch }
 
 // Frozen returns the last closed epoch's final estimate.
-func (n *SimNode) Frozen() (EpochEstimate, bool) {
-	if n.frozen == nil {
-		return EpochEstimate{}, false
-	}
-	return *n.frozen, true
-}
+func (n *SimNode) Frozen() (EpochEstimate, bool) { return n.frozenEstimate() }
 
 // Outstanding returns the unacked split weight awaiting commit.
 func (n *SimNode) Outstanding() float64 { return n.led.outstanding }
@@ -201,53 +185,27 @@ func (n *SimNode) Outstanding() float64 { return n.led.outstanding }
 func (n *SimNode) Contributed() float64 { return n.contributed }
 
 // SimStats returns the windowed-exchange counters.
-func (n *SimNode) SimStats() SimNodeStats { return n.stats }
+func (n *SimNode) SimStats() SimNodeStats {
+	return SimNodeStats{
+		Epochs:           n.counters.epochs.Value(),
+		SharesSent:       n.counters.sharesSent.Value(),
+		SharesAbsorbed:   n.counters.sharesAbsorbed.Value(),
+		Duplicates:       n.counters.dups.Value(),
+		Stale:            n.counters.stale.Value(),
+		AcksSent:         n.counters.acksSent.Value(),
+		Commits:          n.counters.commits.Value(),
+		Retries:          n.counters.retries.Value(),
+		Recovered:        n.counters.recovered.Value(),
+		UnackedDiscarded: n.counters.unacked.Value(),
+		SendErrors:       n.counters.sendErrors.Value(),
+	}
+}
 
 // MassError returns the node's conservation residual: held plus outstanding
 // weight minus the ledger's net injections, snapped to exactly zero within
 // float tolerance. Under the acked exchange it must be zero at every commit
 // point regardless of loss — the windowed chaos gates assert exactly that.
-func (n *SimNode) MassError() float64 {
-	_, w := n.state.Mass()
-	return n.led.balance(w)
-}
-
-// roll retires the live epoch and enters epoch k, mirroring the Service's
-// rollTaskLocked: freeze the closing estimate, discard the old epoch's
-// pending/dedup/ledger state as a unit, then re-contribute the local value
-// (and anchor weight if root) into the fresh state.
-func (n *SimNode) roll(k uint64, now time.Duration) {
-	if k <= n.epoch {
-		return
-	}
-	if n.epoch != 0 {
-		est, ok := n.state.Estimate()
-		_, w := n.state.Mass()
-		n.frozen = &EpochEstimate{
-			Epoch:    n.epoch,
-			Estimate: est,
-			Defined:  ok,
-			Weight:   w,
-			Rounds:   n.state.Rounds(),
-			ClosedAt: now,
-		}
-	}
-	n.stats.UnackedDiscarded += int64(len(n.pending))
-	n.pending = make(map[uint64]*simPending)
-	n.seen = make(map[string]map[uint64]struct{})
-	n.led = ledger{}
-	n.epoch = k
-	if k >= n.contributeFrom {
-		n.state = NewState(n.cfg.Func, n.cfg.Value, n.cfg.Root, false)
-	} else {
-		// Still inside the epoch the node joined mid-window: relay only.
-		n.state = NewState(n.cfg.Func, 0, false, true)
-	}
-	_, w := n.state.Mass()
-	n.led.in += w
-	n.contributed = w
-	n.stats.Epochs++
-}
+func (n *SimNode) MassError() float64 { return n.massError() }
 
 // Tick runs one push-sum round. In legacy mode: split and fire-and-forget.
 // In windowed mode: roll the epoch when the clock crosses a boundary, retry
@@ -286,80 +244,30 @@ func (n *SimNode) Tick(ctx context.Context) {
 	}
 }
 
+// tickWindowed binds one exchange round to the transport: retries go out
+// before peers are sampled, then the fresh shares (this send order is part
+// of every simulator run's seed-determined output), each refusal reported
+// back to the exchange as it happens.
 func (n *SimNode) tickWindowed(ctx context.Context) {
-	now := n.cfg.Clock.Now()
-	if k := EpochAt(now, n.cfg.Window); k > n.epoch {
-		n.roll(k, now)
-	}
-	// Retry outstanding shares in seq order (determinism). Receivers dedup
-	// on (sender, seq), so a share whose copy already arrived is absorbed
-	// once and simply re-acked; a refused retry proves nothing and must not
-	// recover mass.
-	if len(n.pending) > 0 {
-		seqs := make([]uint64, 0, len(n.pending))
-		for q := range n.pending {
-			seqs = append(seqs, q)
-		}
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, q := range seqs {
-			p := n.pending[q]
-			p.tries++
-			n.stats.Retries++
-			if err := n.sendShare(ctx, p.to, &p.share); err != nil {
-				n.stats.SendErrors++
-				continue
-			}
-			n.stats.SharesSent++
-		}
-	}
+	n.advance()
+	// A stack buffer for the staged sends keeps a round inside the
+	// exchange's alloc budget (testdata/alloc_budget.json).
+	var buf [8]exchangeSend
+	sends := n.retries(buf[:0])
+	n.sendShares(ctx, sends)
 	peers := n.cfg.Peers.SelectPeers(n.rng, n.cfg.Fanout, n.cfg.Endpoint.Addr())
-	if len(n.pending) > 0 {
-		suspect := make(map[string]bool)
-		for _, p := range n.pending {
-			if p.tries >= suspectTries {
-				suspect[p.to] = true
-			}
-		}
-		if len(suspect) > 0 {
-			kept := peers[:0]
-			for _, p := range peers {
-				if !suspect[p] {
-					kept = append(kept, p)
-				}
-			}
-			peers = kept
-		}
-	}
-	if len(peers) == 0 {
-		return
-	}
-	n.state.BeginRound()
-	shareSum, shareWeight := n.state.Split(len(peers))
-	for _, p := range peers {
-		n.nextSeq++
-		sh := n.state.share(n.cfg.TaskID, n.cfg.Endpoint.Addr(), shareSum, shareWeight)
-		sh.Epoch = n.epoch
-		sh.Seq = n.nextSeq
-		n.pending[sh.Seq] = &simPending{to: p, share: sh}
-		// Charged per share, not batched, so each commit or recovery
-		// cancels its own entry term-for-term.
-		n.led.outstanding += shareWeight
-		if err := n.sendShare(ctx, p, &sh); err != nil {
-			// A refused *first* send proves the share never left this node:
-			// reclaim it. (Retries never recover — see above.)
-			delete(n.pending, sh.Seq)
-			n.state.Absorb(Share{
-				Sum:         sh.Sum,
-				Weight:      sh.Weight,
-				HasExtremes: sh.HasExtremes,
-				Min:         sh.Min,
-				Max:         sh.Max,
-			})
-			n.led.outstanding -= sh.Weight
-			n.stats.Recovered++
+	n.sendShares(ctx, n.split(sends[:0], n.dropSuspects(peers), Share{
+		TaskID: n.cfg.TaskID, From: n.cfg.Endpoint.Addr(),
+	}))
+}
+
+func (n *SimNode) sendShares(ctx context.Context, sends []exchangeSend) {
+	for _, s := range sends {
+		if err := n.sendShare(ctx, s.to, s.share); err != nil {
+			n.refused(s)
 			continue
 		}
-		n.stats.SharesSent++
+		n.counters.sharesSent.Inc()
 	}
 }
 
@@ -388,67 +296,36 @@ func (n *SimNode) handleExchange(ctx context.Context, msg transport.Message) err
 	if sh.Task != n.cfg.TaskID {
 		return nil
 	}
+	share := Share{
+		Sum:         sh.Sum,
+		Weight:      sh.Weight,
+		HasExtremes: sh.HasExtremes,
+		Min:         sh.Min,
+		Max:         sh.Max,
+		Epoch:       sh.Epoch,
+		Seq:         sh.Seq,
+	}
 	if n.cfg.Window == 0 {
-		n.state.Absorb(Share{
-			Sum:         sh.Sum,
-			Weight:      sh.Weight,
-			HasExtremes: sh.HasExtremes,
-			Min:         sh.Min,
-			Max:         sh.Max,
-		})
+		n.state.Absorb(share)
 		return nil
 	}
-	now := n.cfg.Clock.Now()
-	k := EpochAt(now, n.cfg.Window)
-	if sh.Epoch > k {
-		k = sh.Epoch
-	}
-	if k > n.epoch {
-		n.roll(k, now)
-	}
-	switch {
-	case sh.Epoch == n.epoch:
-		m := n.seen[msg.From]
-		if m == nil {
-			m = make(map[uint64]struct{})
-			n.seen[msg.From] = m
-		}
-		if _, dup := m[sh.Seq]; dup {
-			n.stats.Duplicates++
-		} else {
-			m[sh.Seq] = struct{}{}
-			n.state.Absorb(Share{
-				Sum:         sh.Sum,
-				Weight:      sh.Weight,
-				HasExtremes: sh.HasExtremes,
-				Min:         sh.Min,
-				Max:         sh.Max,
-			})
-			n.led.in += sh.Weight
-			n.stats.SharesAbsorbed++
-		}
-	default:
-		// sh.Epoch < n.epoch: the sender is still in a retired epoch. Ack
-		// without absorbing — that epoch's mass died everywhere, and the
-		// ack both stops the retries and rolls the sender forward.
-		n.stats.Stale++
-	}
+	ackEpoch := n.absorb(msg.From, &share)
 	if msg.From == "" || msg.From == n.cfg.Endpoint.Addr() {
 		return nil
 	}
-	ack := simAck{Task: n.cfg.TaskID, Epoch: n.epoch, Seq: sh.Seq}
+	ack := simAck{Task: n.cfg.TaskID, Epoch: ackEpoch, Seq: sh.Seq}
 	body := appendSimAck(make([]byte, 0, 64), &ack)
 	if err := n.cfg.Endpoint.Send(ctx, transport.Message{To: msg.From, Action: ActionSimExchangeAck, Body: body}); err != nil {
-		n.stats.SendErrors++
+		n.counters.sendErrors.Inc()
 		return nil
 	}
-	n.stats.AcksSent++
+	n.counters.acksSent.Inc()
 	return nil
 }
 
-// handleAck commits one outstanding transfer at the moment its ack arrives
-// — the commit point where MassError is defined to be zero. An ack from a
-// later epoch also rolls this node forward.
+// handleAck hands one ack to the exchange, which commits the transfer —
+// the commit point where MassError is defined to be zero — and rolls
+// forward on a later epoch.
 func (n *SimNode) handleAck(_ context.Context, msg transport.Message) error {
 	if n.cfg.Window == 0 {
 		return nil
@@ -460,14 +337,6 @@ func (n *SimNode) handleAck(_ context.Context, msg transport.Message) error {
 	if ack.Task != n.cfg.TaskID {
 		return nil
 	}
-	if p, ok := n.pending[ack.Seq]; ok {
-		delete(n.pending, ack.Seq)
-		n.led.outstanding -= p.share.Weight
-		n.led.out += p.share.Weight
-		n.stats.Commits++
-	}
-	if ack.Epoch > n.epoch {
-		n.roll(ack.Epoch, n.cfg.Clock.Now())
-	}
+	n.commit(ack.Seq, ack.Epoch)
 	return nil
 }

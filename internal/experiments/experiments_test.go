@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -388,5 +389,26 @@ func TestE12WindowSizingShape(t *testing.T) {
 		if rel := cellFloat(t, tab, i, 1); rel > 0.05 {
 			t.Fatalf("fanout %s worst_rel_err = %v", fanout, rel)
 		}
+	}
+}
+
+// TestE12QuickGolden pins the whole E12 table at -quick, seed 1, to a
+// committed golden: the table has no wall-clock column, so any byte of
+// drift means the windowed exchange or the simulator changed behaviour.
+func TestE12QuickGolden(t *testing.T) {
+	tables, err := E12WindowSizing(quickOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, tab := range tables {
+		got.WriteString(tab.Render())
+	}
+	want, err := os.ReadFile("testdata/e12_quick_seed1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("E12 -quick seed 1 drifted from testdata/e12_quick_seed1.golden\ngot:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // Experiment is one runnable entry of the per-experiment index in DESIGN.md.
 type Experiment struct {
-	// ID is the index key ("e0".."e10", "a1".."a3").
+	// ID is the index key ("e0".."e12", "a1".."a3").
 	ID string
 	// Description summarizes what the experiment validates.
 	Description string

@@ -181,6 +181,13 @@ func TestZeroCopyMatchesLegacyDecode(t *testing.T) {
 		// sliced verbatim; the zero-copy walk must hand it to the fallback.
 		"inherited-default-ns": `<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
 			`<Fault><Code><Value>soapenv</Value></Code></Fault></Body></Envelope>`,
+		"escaped-to-and-quoted-gt": `<?xml version="1.0"?><Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Header>` +
+			`<To xmlns="http://www.w3.org/2005/08/addressing">a&amp;b</To></Header>` +
+			`<Body><Q xmlns="urn:q" v="x>y"/></Body></Envelope>`,
+		"cdata-markup-block": `<?xml version="1.0"?><Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
+			`<Q xmlns="urn:q"><![CDATA[<raw>]]></Q></Body></Envelope>`,
+		"self-closing-empty-ns": `<?xml version="1.0"?><Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Body>` +
+			`<Q xmlns=""/></Body></Envelope>`,
 	}
 	for name, doc := range docs {
 		t.Run(name, func(t *testing.T) {
@@ -203,6 +210,14 @@ func TestZeroCopyMatchesLegacyDecode(t *testing.T) {
 				t.Fatalf("re-decode: %v\n%s", err, data)
 			}
 			equivalent(t, name+" after cycle", got, again)
+			// From the first encode on, the bytes are stable.
+			data2, err := again.Encode()
+			if err != nil {
+				t.Fatalf("re-encode after cycle: %v", err)
+			}
+			if !bytes.Equal(data, data2) {
+				t.Fatalf("not byte-stable:\n%s\n%s", data, data2)
+			}
 		})
 	}
 }
@@ -270,7 +285,7 @@ func TestEncodeTemplateRenderTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, addr := range []string{"mem://peer1", "http://host:8080/svc?a=1&b=<2>"} {
+	for _, addr := range []string{"mem://peer1", "http://host:8080/svc?a=1&b=<2>", `mem://a&b<c>"d"`} {
 		rendered, err := Decode(tmpl.RenderTo(addr))
 		if err != nil {
 			t.Fatalf("decode rendered: %v", err)
@@ -314,6 +329,21 @@ func TestEncodeTemplateRenderTo(t *testing.T) {
 		if !reflect.DeepEqual(rb, db) {
 			t.Fatalf("body %+v != %+v", rb, db)
 		}
+	}
+	// An envelope with no addressing headers renders an escaped To too.
+	bare := NewEnvelope()
+	bare.Body.Blocks = []Block{{XMLName: xml.Name{Space: "urn:q", Local: "Q"}, Raw: []byte(`<Q xmlns="urn:q">v</Q>`)}}
+	bareTmpl, err := bare.EncodeTemplate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := bareTmpl.RenderTo(`mem://a&b<c>"d"`)
+	got, err := Decode(msg)
+	if err != nil {
+		t.Fatalf("decode rendered: %v\n%s", err, msg)
+	}
+	if a := got.Addressing(); a.To != `mem://a&b<c>"d"` {
+		t.Fatalf("To = %q, rendered: %s", a.To, msg)
 	}
 }
 
